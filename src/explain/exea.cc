@@ -1,5 +1,7 @@
 #include "explain/exea.h"
 
+#include <memory>
+
 #include "emb/relation_embedding.h"
 #include "explain/path_embedding.h"
 #include "obs/span.h"
@@ -14,7 +16,9 @@ ExeaExplainer::ExeaExplainer(const data::EaDataset& dataset,
       model_(&model),
       config_(config),
       func1_(dataset.kg1),
-      func2_(dataset.kg2) {
+      func2_(dataset.kg2),
+      paths1_(dataset.kg1.num_entities()),
+      paths2_(dataset.kg2.num_entities()) {
   const la::Matrix& ent1 = model.EntityEmbeddings(kg::KgSide::kSource);
   const la::Matrix& ent2 = model.EntityEmbeddings(kg::KgSide::kTarget);
   if (model.HasRelationEmbeddings()) {
@@ -27,11 +31,23 @@ ExeaExplainer::ExeaExplainer(const data::EaDataset& dataset,
   }
 }
 
+ExeaExplainer::~ExeaExplainer() {
+  for (auto* slots : {&paths1_, &paths2_}) {
+    for (PathsSlot& slot : *slots) {
+      std::unique_ptr<const PathsWithEmbeddings> owned(
+          slot.load(std::memory_order_acquire));
+    }
+  }
+}
+
 const PathsWithEmbeddings& ExeaExplainer::PathsFor(kg::KgSide side,
                                                    kg::EntityId e) const {
-  auto& cache = side == kg::KgSide::kSource ? cache1_ : cache2_;
-  auto it = cache.find(e);
-  if (it != cache.end()) return it->second;
+  std::vector<PathsSlot>& slots =
+      side == kg::KgSide::kSource ? paths1_ : paths2_;
+  EXEA_CHECK_LT(e, slots.size());
+  PathsSlot& slot = slots[e];
+  const PathsWithEmbeddings* cached = slot.load(std::memory_order_acquire);
+  if (cached != nullptr) return *cached;
 
   const kg::KnowledgeGraph& graph =
       side == kg::KgSide::kSource ? dataset_->kg1 : dataset_->kg2;
@@ -43,13 +59,19 @@ const PathsWithEmbeddings& ExeaExplainer::PathsFor(kg::KgSide side,
   options.max_paths = config_.max_paths_per_entity;
   options.max_branch = config_.max_branch;
 
-  PathsWithEmbeddings entry;
-  entry.paths = kg::EnumeratePaths(graph, e, options);
-  entry.embeddings.reserve(entry.paths.size());
-  for (const kg::RelationPath& path : entry.paths) {
-    entry.embeddings.push_back(PathEmbedding(path, ent, rel));
+  auto entry = std::make_unique<PathsWithEmbeddings>();
+  entry->paths = kg::EnumeratePaths(graph, e, options);
+  entry->embeddings.reserve(entry->paths.size());
+  for (const kg::RelationPath& path : entry->paths) {
+    entry->embeddings.push_back(PathEmbedding(path, ent, rel));
   }
-  return cache.emplace(e, std::move(entry)).first->second;
+  // On failure `cached` receives the racer's entry, which already won.
+  if (slot.compare_exchange_strong(cached, entry.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *entry.release();
+  }
+  return *cached;
 }
 
 Explanation ExeaExplainer::Explain(kg::EntityId e1, kg::EntityId e2,

@@ -11,12 +11,14 @@
 // embeddings (the model's own when available, Eq. (1) translation-based
 // otherwise). Path enumeration and Eq. (2) path embeddings are memoized per
 // entity, which is what keeps the repair loops (Algorithms 1 and 2, which
-// call Explain per candidate) fast.
+// call Explain per candidate) fast. The memo is safe to fill from
+// concurrent Explain calls (the serving workers share one explainer).
 
 #ifndef EXEA_EXPLAIN_EXEA_H_
 #define EXEA_EXPLAIN_EXEA_H_
 
-#include <unordered_map>
+#include <atomic>
+#include <vector>
 
 #include "data/dataset.h"
 #include "emb/model.h"
@@ -37,6 +39,7 @@ class ExeaExplainer {
 
   ExeaExplainer(const ExeaExplainer&) = delete;
   ExeaExplainer& operator=(const ExeaExplainer&) = delete;
+  ~ExeaExplainer();
 
   // Generates the semantic matching subgraph for (e1, e2) under the given
   // alignment context. Fills the candidate triple lists.
@@ -68,8 +71,13 @@ class ExeaExplainer {
   kg::RelationFunctionality func2_;
   la::Matrix rel1_;  // relation embeddings, source KG
   la::Matrix rel2_;  // relation embeddings, target KG
-  mutable std::unordered_map<kg::EntityId, PathsWithEmbeddings> cache1_;
-  mutable std::unordered_map<kg::EntityId, PathsWithEmbeddings> cache2_;
+  // One slot per dense entity id and side, null until the first PathsFor.
+  // A slot is published by compare-exchange: the first writer wins, a
+  // losing racer frees its copy, and a filled slot never changes, so the
+  // read path takes no lock.
+  using PathsSlot = std::atomic<const PathsWithEmbeddings*>;
+  mutable std::vector<PathsSlot> paths1_;
+  mutable std::vector<PathsSlot> paths2_;
 };
 
 }  // namespace exea::explain

@@ -1,9 +1,12 @@
 #include "la/matrix_io.h"
 
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <string_view>
+
+#include "util/chunked_reader.h"
+#include "util/parse.h"
+#include "util/string_util.h"
 
 namespace exea::la {
 
@@ -13,30 +16,31 @@ Status SaveMatrix(const Matrix& matrix, const std::string& path) {
     return Status::IoError("cannot open for writing: " + path);
   }
   std::fprintf(out, "%zu %zu\n", matrix.rows(), matrix.cols());
+  // One row per fwrite. Nine significant digits in %g style round-trip
+  // every IEEE single; to_chars spells them exactly as printf("%.9g").
+  std::string line;
+  char number[32];
   for (size_t r = 0; r < matrix.rows(); ++r) {
     const float* row = matrix.Row(r);
+    line.clear();
     for (size_t c = 0; c < matrix.cols(); ++c) {
-      std::fprintf(out, "%s%.9g", c == 0 ? "" : " ",
-                   static_cast<double>(row[c]));
+      if (c > 0) line.push_back(' ');
+      auto [end, ec] = std::to_chars(number, number + sizeof(number), row[c],
+                                     std::chars_format::general, 9);
+      line.append(number, end);
     }
-    std::fprintf(out, "\n");
+    line.push_back('\n');
+    std::fwrite(line.data(), 1, line.size(), out);
   }
-  bool ok = std::fflush(out) == 0;
+  bool ok = std::fflush(out) == 0 && std::ferror(out) == 0;
   std::fclose(out);
   if (!ok) return Status::IoError("write failed: " + path);
   return Status::Ok();
 }
 
 StatusOr<Matrix> LoadMatrix(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  size_t rows = 0;
-  size_t cols = 0;
-  if (!(in >> rows >> cols)) {
-    return Status::InvalidArgument("bad matrix header in " + path);
-  }
+  util::ChunkedReader reader(path);
+  if (!reader.status().ok()) return reader.status();
   // A garbled header can decode to absurd dimensions; refuse before the
   // allocation instead of aborting inside it. The element budget caps the
   // buffer at kMaxElements * sizeof(float) = 400 MB, far beyond any
@@ -44,23 +48,50 @@ StatusOr<Matrix> LoadMatrix(const std::string& path) {
   // division so rows * cols cannot wrap around 64 bits and sneak a huge
   // allocation past the guard.
   constexpr uint64_t kMaxElements = 100'000'000;
-  if (rows > kMaxElements || cols > kMaxElements ||
-      (cols != 0 && rows > kMaxElements / cols)) {
-    std::ostringstream msg;
-    msg << path << ": implausible matrix dimensions " << rows << "x" << cols;
-    return Status::InvalidArgument(msg.str());
+  // Each dimension has its own token so the taint check follows each one
+  // from the file to the allocation. A view only lives until the next
+  // read, so each is parsed before the next token is read.
+  std::string_view rows_text;
+  std::string_view cols_text;
+  uint64_t rows = 0;
+  uint64_t cols = 0;
+  if (!reader.NextToken(&rows_text) ||
+      !util::ParseUint64(rows_text, kMaxElements, &rows).ok() ||
+      !reader.NextToken(&cols_text) ||
+      !util::ParseUint64(cols_text, kMaxElements, &cols).ok()) {
+    if (!reader.status().ok()) return reader.status();
+    return Status::InvalidArgument("bad matrix header in " + path);
+  }
+  if (cols != 0 && rows > kMaxElements / cols) {
+    return Status::InvalidArgument(
+        StrFormat("%s: implausible matrix dimensions %llux%llu", path.c_str(),
+                  static_cast<unsigned long long>(rows),
+                  static_cast<unsigned long long>(cols)));
   }
   Matrix matrix(rows, cols);
+  std::string_view token;
   for (size_t r = 0; r < rows; ++r) {
     float* row = matrix.Row(r);
     for (size_t c = 0; c < cols; ++c) {
-      if (!(in >> row[c])) {
-        std::ostringstream msg;
-        msg << path << ": truncated at row " << r << " col " << c;
-        return Status::InvalidArgument(msg.str());
+      if (!reader.NextToken(&token)) {
+        if (!reader.status().ok()) return reader.status();
+        return Status::InvalidArgument(
+            StrFormat("%s: truncated at row %zu col %zu", path.c_str(), r, c));
+      }
+      Status parsed = util::ParseFloat(token, &row[c]);
+      if (!parsed.ok()) {
+        return Status::InvalidArgument(StrFormat(
+            "%s: row %zu col %zu: %s", path.c_str(), r, c,
+            parsed.message().c_str()));
       }
     }
   }
+  if (reader.NextToken(&token)) {
+    return Status::InvalidArgument(
+        StrFormat("%s: data after row %llu", path.c_str(),
+                  static_cast<unsigned long long>(rows)));
+  }
+  if (!reader.status().ok()) return reader.status();
   return matrix;
 }
 

@@ -2,6 +2,10 @@
 //
 // Format: first line "rows cols", then one whitespace-separated row per
 // line, full float precision (%.9g round-trips IEEE single).
+//
+// LoadMatrix reads through util::ChunkedReader and parses with
+// std::from_chars: every value must be one finite float token, and a
+// short body or data after the last row is INVALID_ARGUMENT.
 
 #ifndef EXEA_LA_MATRIX_IO_H_
 #define EXEA_LA_MATRIX_IO_H_

@@ -4,14 +4,15 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "la/simd.h"
 #include "obs/span.h"
 #include "util/check.h"
+#include "util/chunked_reader.h"
 #include "util/parallel.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -281,26 +282,40 @@ Status SaveIvfIndexData(const IvfIndexData& data, const std::string& path) {
 }
 
 StatusOr<IvfIndexData> LoadIvfIndexData(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  std::string magic;
+  util::ChunkedReader reader(path);
+  if (!reader.status().ok()) return reader.status();
+  std::string_view token;
+  // Every number in the file is a whole token bounded by `max`. A parse
+  // failure reports `error`, unless the reader itself failed first.
+  auto next = [&](uint64_t max, uint64_t* value) {
+    return reader.NextToken(&token) &&
+           util::ParseUint64(token, max, value).ok();
+  };
+  auto fail = [&](Status error) {
+    return reader.status().ok() ? error : reader.status();
+  };
   uint64_t version = 0;
-  if (!(in >> magic >> version) || magic != "exea_ivf_index" || version != 1) {
-    return Status::InvalidArgument("bad ivf index header in " + path);
-  }
-  size_t clusters = 0;
-  size_t dim = 0;
-  size_t rows = 0;
-  IvfIndexData data;
-  if (!(in >> clusters >> dim >> rows >> data.nprobe >> data.iterations >>
-        data.seed)) {
-    return Status::InvalidArgument("bad ivf index dimensions in " + path);
+  if (!reader.NextToken(&token) || token != "exea_ivf_index" ||
+      !next(UINT64_MAX, &version) || version != 1) {
+    return fail(Status::InvalidArgument("bad ivf index header in " + path));
   }
   // Same pre-allocation guard as LoadMatrix: refuse absurd sizes before
   // allocating, with division so the product cannot wrap.
   constexpr uint64_t kMaxElements = 100'000'000;
+  uint64_t clusters = 0;
+  uint64_t dim = 0;
+  uint64_t rows = 0;
+  uint64_t nprobe = 0;
+  uint64_t iterations = 0;
+  IvfIndexData data;
+  if (!next(UINT64_MAX, &clusters) || !next(UINT64_MAX, &dim) ||
+      !next(UINT64_MAX, &rows) || !next(UINT32_MAX, &nprobe) ||
+      !next(UINT32_MAX, &iterations) || !next(UINT64_MAX, &data.seed)) {
+    return fail(
+        Status::InvalidArgument("bad ivf index dimensions in " + path));
+  }
+  data.nprobe = static_cast<uint32_t>(nprobe);
+  data.iterations = static_cast<uint32_t>(iterations);
   if (clusters == 0 || dim == 0 || clusters > kMaxElements ||
       dim > kMaxElements || clusters > kMaxElements / dim ||
       rows > kMaxElements) {
@@ -313,29 +328,29 @@ StatusOr<IvfIndexData> LoadIvfIndexData(const std::string& path) {
   for (size_t c = 0; c < clusters; ++c) {
     float* row = data.centroids.Row(c);
     for (size_t d = 0; d < dim; ++d) {
-      if (!(in >> row[d])) {
-        std::ostringstream msg;
-        msg << path << ": truncated centroid " << c;
-        return Status::InvalidArgument(msg.str());
+      if (!reader.NextToken(&token) ||
+          !util::ParseFloat(token, &row[d]).ok()) {
+        return fail(Status::InvalidArgument(path + ": truncated centroid " +
+                                           std::to_string(c)));
       }
     }
   }
   data.lists.assign(clusters, {});
-  size_t total = 0;
+  uint64_t total = 0;
   for (size_t c = 0; c < clusters; ++c) {
-    size_t len = 0;
-    if (!(in >> len) || len > rows) {
-      std::ostringstream msg;
-      msg << path << ": bad posting list length for list " << c;
-      return Status::InvalidArgument(msg.str());
+    uint64_t len = 0;
+    if (!next(rows, &len)) {
+      return fail(Status::InvalidArgument(
+          path + ": bad posting list length for list " + std::to_string(c)));
     }
     data.lists[c].resize(len);
     for (size_t p = 0; p < len; ++p) {
-      if (!(in >> data.lists[c][p])) {
-        std::ostringstream msg;
-        msg << path << ": truncated posting list " << c;
-        return Status::InvalidArgument(msg.str());
+      uint64_t id = 0;
+      if (!next(UINT32_MAX, &id)) {
+        return fail(Status::InvalidArgument(
+            path + ": truncated posting list " + std::to_string(c)));
       }
+      data.lists[c][p] = static_cast<uint32_t>(id);
     }
     total += len;
   }
@@ -345,6 +360,10 @@ StatusOr<IvfIndexData> LoadIvfIndexData(const std::string& path) {
         << rows;
     return Status::InvalidArgument(msg.str());
   }
+  if (reader.NextToken(&token)) {
+    return Status::InvalidArgument(path + ": data after the posting lists");
+  }
+  if (!reader.status().ok()) return reader.status();
   return data;
 }
 

@@ -1,7 +1,6 @@
 #include "util/parse.h"
 
-#include <charconv>
-#include <system_error>
+#include <string>
 
 namespace exea {
 namespace util {
@@ -10,7 +9,7 @@ namespace {
 
 // Untrusted strings end up quoted in Status messages and from there in
 // logs and NDJSON error responses; keep them short and printable.
-std::string Excerpt(const std::string& text) {
+std::string Excerpt(std::string_view text) {
   constexpr size_t kMax = 48;
   std::string out;
   out.reserve(text.size() < kMax ? text.size() : kMax + 3);
@@ -22,14 +21,15 @@ std::string Excerpt(const std::string& text) {
   return out;
 }
 
-template <typename T>
-Status ParseWhole(const std::string& text, int base, T* value) {
+// `args` is the base for integers and empty for floating point.
+template <typename T, typename... Args>
+Status ParseWhole(std::string_view text, T* value, Args... args) {
   if (text.empty()) {
     return Status::InvalidArgument("expected a number, got an empty string");
   }
   const char* begin = text.data();
   const char* end = begin + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *value, base);
+  auto [ptr, ec] = std::from_chars(begin, end, *value, args...);
   if (ec == std::errc::result_out_of_range) {
     return Status::OutOfRange("number out of range: '" + Excerpt(text) + "'");
   }
@@ -40,7 +40,7 @@ Status ParseWhole(const std::string& text, int base, T* value) {
 }
 
 template <typename T>
-Status CheckRange(T value, T min_value, T max_value, const std::string& text) {
+Status CheckRange(T value, T min_value, T max_value, std::string_view text) {
   // Written as a negated conjunction so a NaN (which fails every
   // comparison) is rejected rather than accepted.
   if (!(value >= min_value && value <= max_value)) {
@@ -50,54 +50,50 @@ Status CheckRange(T value, T min_value, T max_value, const std::string& text) {
   return Status::Ok();
 }
 
+template <typename T, typename... Args>
+Status ParseInRange(std::string_view text, T min_value, T max_value, T* out,
+                    Args... args) {
+  T value = 0;
+  Status parsed = ParseWhole(text, &value, args...);
+  if (!parsed.ok()) return parsed;
+  Status ranged = CheckRange(value, min_value, max_value, text);
+  if (!ranged.ok()) return ranged;
+  *out = value;
+  return Status::Ok();
+}
+
 }  // namespace
 
-Status ParseInt32(const std::string& text, int32_t min_value,
+Status ParseInt32(std::string_view text, int32_t min_value,
                   int32_t max_value, int32_t* out) {
-  int32_t value = 0;
-  Status parsed = ParseWhole(text, 10, &value);
-  if (!parsed.ok()) return parsed;
-  Status ranged = CheckRange(value, min_value, max_value, text);
-  if (!ranged.ok()) return ranged;
-  *out = value;
-  return Status::Ok();
+  return ParseInRange(text, min_value, max_value, out, 10);
 }
 
-Status ParseInt64(const std::string& text, int64_t min_value,
+Status ParseInt64(std::string_view text, int64_t min_value,
                   int64_t max_value, int64_t* out) {
-  int64_t value = 0;
-  Status parsed = ParseWhole(text, 10, &value);
-  if (!parsed.ok()) return parsed;
-  Status ranged = CheckRange(value, min_value, max_value, text);
-  if (!ranged.ok()) return ranged;
-  *out = value;
-  return Status::Ok();
+  return ParseInRange(text, min_value, max_value, out, 10);
 }
 
-Status ParseDouble(const std::string& text, double min_value, double max_value,
+Status ParseUint64(std::string_view text, uint64_t max_value, uint64_t* out) {
+  return ParseInRange(text, uint64_t{0}, max_value, out, 10);
+}
+
+Status ParseDouble(std::string_view text, double min_value, double max_value,
                    double* out) {
-  if (text.empty()) {
-    return Status::InvalidArgument("expected a number, got an empty string");
-  }
-  double value = 0;
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec == std::errc::result_out_of_range) {
-    return Status::OutOfRange("number out of range: '" + Excerpt(text) + "'");
-  }
-  if (ec != std::errc() || ptr != end) {
-    return Status::InvalidArgument("not a number: '" + Excerpt(text) + "'");
-  }
-  Status ranged = CheckRange(value, min_value, max_value, text);
-  if (!ranged.ok()) return ranged;
-  *out = value;
-  return Status::Ok();
+  return ParseInRange(text, min_value, max_value, out);
 }
 
-Status ParseUint64Hex(const std::string& text, uint64_t* out) {
+Status internal::FloatError(std::string_view text) {
+  float value = 0;
+  Status parsed = ParseWhole(text, &value);
+  if (!parsed.ok()) return parsed;
+  return Status::InvalidArgument("not a finite number: '" + Excerpt(text) +
+                                 "'");
+}
+
+Status ParseUint64Hex(std::string_view text, uint64_t* out) {
   uint64_t value = 0;
-  Status parsed = ParseWhole(text, 16, &value);
+  Status parsed = ParseWhole(text, &value, 16);
   if (!parsed.ok()) return parsed;
   *out = value;
   return Status::Ok();

@@ -1,5 +1,6 @@
 #include "util/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
@@ -8,6 +9,7 @@ namespace exea {
 
 std::vector<std::string> Split(std::string_view input, char delim) {
   std::vector<std::string> parts;
+  parts.reserve(std::count(input.begin(), input.end(), delim) + 1);
   size_t start = 0;
   for (size_t i = 0; i <= input.size(); ++i) {
     if (i == input.size() || input[i] == delim) {

@@ -1,34 +1,33 @@
 #include "util/tsv.h"
 
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
+#include "util/chunked_reader.h"
 #include "util/string_util.h"
 
 namespace exea {
 
 StatusOr<std::vector<std::vector<std::string>>> ReadTsv(
     const std::string& path, size_t min_fields) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
+  util::ChunkedReader reader(path);
+  if (!reader.status().ok()) return reader.status();
   std::vector<std::vector<std::string>> rows;
-  std::string line;
+  std::string_view line;
   size_t line_no = 0;
-  while (std::getline(in, line)) {
+  while (reader.NextLine(&line)) {
     ++line_no;
     std::string_view trimmed = Trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
     std::vector<std::string> fields = Split(trimmed, '\t');
     if (fields.size() < min_fields) {
-      std::ostringstream msg;
-      msg << path << ":" << line_no << ": expected at least " << min_fields
-          << " fields, got " << fields.size();
-      return Status::InvalidArgument(msg.str());
+      return Status::InvalidArgument(
+          StrFormat("%s:%zu: expected at least %zu fields, got %zu",
+                    path.c_str(), line_no, min_fields, fields.size()));
     }
     rows.push_back(std::move(fields));
   }
+  if (!reader.status().ok()) return reader.status();
   return rows;
 }
 

@@ -11,8 +11,11 @@
 
 namespace exea {
 
-// Reads a TSV file into rows of fields. Blank lines and lines starting with
-// '#' are skipped. Fails if any row has fewer than `min_fields` fields.
+// Reads a TSV file into rows of fields, streaming it through
+// util::ChunkedReader. Each line is trimmed of surrounding whitespace
+// (so "\r\n" line ends read like "\n"); blank lines and lines starting
+// with '#' are skipped. Fails if any row has fewer than `min_fields`
+// fields.
 [[nodiscard]] StatusOr<std::vector<std::vector<std::string>>> ReadTsv(
     const std::string& path, size_t min_fields);
 

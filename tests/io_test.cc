@@ -1,9 +1,16 @@
-// Tests for the persistence layers and the flag parser: matrix I/O,
-// dataset directory I/O, and Flags.
+// Tests for the persistence layers and the flag parser: matrix I/O and
+// the chunked reader under it, dataset directory I/O, and Flags.
 
 #include <unistd.h>
 
+#include <cctype>
+#include <cfloat>
+#include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -11,8 +18,11 @@
 #include "data/dataset_io.h"
 #include "kg/kg_io.h"
 #include "la/matrix_io.h"
+#include "util/chunked_reader.h"
 #include "util/flags.h"
 #include "util/rng.h"
+#include "util/string_util.h"
+#include "util/tsv.h"
 
 namespace exea {
 namespace {
@@ -100,6 +110,175 @@ TEST_F(IoTest, MatrixLoadMissingFile) {
   auto loaded = la::LoadMatrix((dir_ / "absent.txt").string());
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
+// The IEEE single values a text codec most easily gets wrong: signed
+// zeros, the smallest subnormal and normal, the largest finite, and the
+// neighbours one ulp either side of every power of ten in range.
+std::vector<float> EdgeFloats() {
+  std::vector<float> values = {0.0f,    -0.0f,    FLT_TRUE_MIN, -FLT_TRUE_MIN,
+                               FLT_MIN, -FLT_MIN, FLT_MAX,      -FLT_MAX};
+  for (int e = -45; e <= 38; ++e) {
+    auto power = static_cast<float>(std::pow(10.0, e));
+    for (float v : {power, std::nextafter(power, 0.0f),
+                    std::nextafter(power, FLT_MAX)}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  return values;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary) << bytes;
+}
+
+la::Matrix RowOf(const std::vector<float>& values) {
+  la::Matrix m(1, values.size());
+  std::copy(values.begin(), values.end(), m.Row(0));
+  return m;
+}
+
+void ExpectSameBits(const la::Matrix& expected, const la::Matrix& actual) {
+  ASSERT_EQ(actual.rows(), expected.rows());
+  ASSERT_EQ(actual.cols(), expected.cols());
+  for (size_t i = 0; i < expected.data().size(); ++i) {
+    float want = expected.data()[i];
+    float got = actual.data()[i];
+    EXPECT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
+        << "value " << i << ": wrote " << want << ", read " << got;
+  }
+}
+
+TEST_F(IoTest, SaveMatrixWritesPrintfDigits) {
+  // The writer uses std::to_chars; the bytes must be exactly what
+  // printf("%.9g") wrote before it, or every bundle checksum changes.
+  Rng rng(11);
+  la::Matrix normals(40, 7);
+  normals.FillNormal(rng, 1.0f);
+  for (const la::Matrix& m : {RowOf(EdgeFloats()), normals}) {
+    std::string path = (dir_ / "digits.txt").string();
+    ASSERT_TRUE(la::SaveMatrix(m, path).ok());
+    std::string expected = StrFormat("%zu %zu\n", m.rows(), m.cols());
+    for (size_t r = 0; r < m.rows(); ++r) {
+      for (size_t c = 0; c < m.cols(); ++c) {
+        expected += StrFormat("%s%.9g", c == 0 ? "" : " ",
+                              static_cast<double>(m.Row(r)[c]));
+      }
+      expected += "\n";
+    }
+    EXPECT_EQ(ReadBytes(path), expected);
+  }
+}
+
+TEST_F(IoTest, MatrixEdgeValuesRoundTripBitForBit) {
+  la::Matrix m = RowOf(EdgeFloats());
+  std::string path = (dir_ / "edges.txt").string();
+  ASSERT_TRUE(la::SaveMatrix(m, path).ok());
+  auto loaded = la::LoadMatrix(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameBits(m, *loaded);
+}
+
+TEST_F(IoTest, MatrixLargerThanOneChunkRoundTrips) {
+  // Several buffer refills, with a token cut in two by the first one.
+  Rng rng(5);
+  la::Matrix m(600, 40);
+  m.FillNormal(rng, 3.0f);
+  std::string path = (dir_ / "big.txt").string();
+  ASSERT_TRUE(la::SaveMatrix(m, path).ok());
+  std::string bytes = ReadBytes(path);
+  constexpr size_t kChunk = util::ChunkedReader::kChunkBytes;
+  ASSERT_GT(bytes.size(), 3 * kChunk);
+  ASSERT_FALSE(std::isspace(static_cast<unsigned char>(bytes[kChunk - 1])));
+  ASSERT_FALSE(std::isspace(static_cast<unsigned char>(bytes[kChunk])));
+  auto loaded = la::LoadMatrix(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameBits(m, *loaded);
+}
+
+TEST_F(IoTest, MatrixLoadAcceptsCrlfLineEnds) {
+  std::string path = (dir_ / "crlf.txt").string();
+  WriteBytes(path, "2 3\r\n1 -2.5 3\r\n4 5e-3 6\r\n");
+  auto loaded = la::LoadMatrix(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->rows(), 2u);
+  ASSERT_EQ(loaded->cols(), 3u);
+  EXPECT_EQ(loaded->Row(0)[1], -2.5f);
+  EXPECT_EQ(loaded->Row(1)[1], 5e-3f);
+  EXPECT_EQ(loaded->Row(1)[2], 6.0f);
+}
+
+TEST_F(IoTest, MatrixLoadRejectsTokensThatDoNotParseInFull) {
+  struct Case {
+    const char* name;
+    const char* text;
+  } cases[] = {
+      {"nan", "1 2\n1 nan\n"},
+      {"inf", "1 2\n1 inf\n"},
+      {"negative-inf", "1 2\n-inf 1\n"},
+      {"leading-plus", "1 2\n+1 2\n"},
+      {"trailing-junk", "1 2\n1.5x 2\n"},
+      {"hex", "1 2\n0x10 2\n"},
+      {"overflow", "1 2\n1e39 2\n"},
+      {"underflow-to-zero", "1 2\n1e-50 2\n"},
+      {"header-junk", "1x 2\n1 2\n"},
+      {"truncated-last-row", "2 2\n1 2\n3\n"},
+      {"extra-value", "1 2\n1 2 3\n"},
+  };
+  for (const Case& c : cases) {
+    std::string path = (dir_ / (std::string(c.name) + ".txt")).string();
+    WriteBytes(path, c.text);
+    auto loaded = la::LoadMatrix(path);
+    ASSERT_FALSE(loaded.ok()) << c.name << " was accepted";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << c.name << ": " << loaded.status().ToString();
+  }
+}
+
+// --------------------------------------------------------- chunked reader
+
+TEST_F(IoTest, ReadTsvStripsCrlfAndKeepsAnUnterminatedLastLine) {
+  std::string path = (dir_ / "crlf.tsv").string();
+  WriteBytes(path, "a\tb\r\n# comment\r\n\r\nc\td");
+  auto rows = ReadTsv(path, 2);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  std::vector<std::vector<std::string>> expected = {{"a", "b"}, {"c", "d"}};
+  EXPECT_EQ(*rows, expected);
+}
+
+TEST_F(IoTest, ReadTsvReadsLinesLongerThanOneChunk) {
+  std::string path = (dir_ / "long.tsv").string();
+  std::string name(3 * util::ChunkedReader::kChunkBytes + 17, 'n');
+  WriteBytes(path, "short\t1\n" + name + "\t2\nlast\t3\n");
+  auto rows = ReadTsv(path, 2);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 3u);
+  EXPECT_EQ((*rows)[1][0], name);
+  EXPECT_EQ((*rows)[2][1], "3");
+}
+
+TEST_F(IoTest, ChunkedReaderRefusesARecordPastTheCap) {
+  std::string path = (dir_ / "huge_token.txt").string();
+  WriteBytes(path, std::string(util::ChunkedReader::kMaxRecordBytes + 1, 'x'));
+  util::ChunkedReader reader(path);
+  std::string_view token;
+  EXPECT_FALSE(reader.NextToken(&token));
+  EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(IoTest, ChunkedReaderMissingFileIsAnIoError) {
+  util::ChunkedReader reader((dir_ / "absent.txt").string());
+  std::string_view line;
+  EXPECT_FALSE(reader.NextLine(&line));
+  EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
 }
 
 // --------------------------------------------------------------- dataset

@@ -382,6 +382,15 @@ TEST(LintTest, TaintFixtureReportsCrossTuChains) {
       output.find("(flow: param 'wire' of Route -> Route:hops -> resize())"),
       std::string::npos)
       << output;
+  // A chunked reader's token sizes an allocation: the header dimension
+  // that skipped its range check is reported, the checked one is not.
+  EXPECT_NE(output.find("table_load.cc:32:3: taint-unchecked-sink"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("(flow: 'NextToken' -> LoadTable:rows -> Matrix())"),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("LoadTable:cols"), std::string::npos) << output;
   // The structural sinks: loop bound and container index.
   EXPECT_NE(output.find("loop bound 'n'"), std::string::npos) << output;
   EXPECT_NE(output.find("container index 'idx'"), std::string::npos)
@@ -398,10 +407,11 @@ TEST(LintTest, TaintFixtureNegativesStayQuiet) {
   RunLint("--root " + Fixture("taint") +
               " --rules=taint-unchecked-sink,atoi-on-untrusted",
           &output);
-  // Five flows, four banned parsers. Everything else stays quiet: the
-  // ParseInt32-sanitized resize, the EXEA_CHECK-guarded loop, the
-  // associative map subscript, and the waived resize in Trusted().
-  EXPECT_EQ(CountOf(output, "taint-unchecked-sink:"), 5u) << output;
+  // Six flows, four banned parsers. Everything else stays quiet: the
+  // ParseInt32-sanitized resize, the EXEA_CHECK-guarded loop and matrix
+  // dimension, the associative map subscript, and the waived resize in
+  // Trusted().
+  EXPECT_EQ(CountOf(output, "taint-unchecked-sink:"), 6u) << output;
   EXPECT_EQ(CountOf(output, "atoi-on-untrusted:"), 4u) << output;
   EXPECT_EQ(output.find("SizeChecked"), std::string::npos) << output;
   EXPECT_EQ(output.find("request.cc:26"), std::string::npos) << output;
@@ -413,7 +423,7 @@ TEST(LintTest, TaintFamilyNameEnablesBothRules) {
   int exit_code =
       RunLint("--root " + Fixture("taint") + " --rules=taint", &output);
   EXPECT_EQ(exit_code, 1) << output;
-  EXPECT_EQ(CountOf(output, "taint-unchecked-sink:"), 5u) << output;
+  EXPECT_EQ(CountOf(output, "taint-unchecked-sink:"), 6u) << output;
   EXPECT_EQ(CountOf(output, "atoi-on-untrusted:"), 4u) << output;
 }
 
@@ -488,7 +498,7 @@ TEST(LintTest, TaintScanIsByteIdenticalFromWarmCache) {
   // — any drift means the cache is missing a taint fact.
   EXPECT_EQ(cold, warm);
   RunLint(base + " 2>&1", &meta);
-  EXPECT_NE(meta.find("(5 from cache)"), std::string::npos) << meta;
+  EXPECT_NE(meta.find("(6 from cache)"), std::string::npos) << meta;
   fs::remove_all(root);
 }
 
@@ -499,10 +509,11 @@ TEST(LintTest, TaintModelEditRetunesFindingsWithoutRescanning) {
                      cache.string() + " 2>&1";
   std::string output;
   RunLint(base, &output);
-  EXPECT_EQ(CountOf(output, "taint-unchecked-sink:"), 5u) << output;
-  // Drop the resize sink from the model: the fact tables are
-  // config-independent, so every file stays cached — but the three
-  // resize flows disappear and the loop/index sinks remain.
+  EXPECT_EQ(CountOf(output, "taint-unchecked-sink:"), 6u) << output;
+  // Drop the NextToken source and the resize and Matrix sinks from the
+  // model: the fact tables are config-independent, so every file stays
+  // cached — but the three resize flows and the Matrix flow disappear
+  // and the loop/index sinks remain.
   {
     std::ofstream model(root / "tools" / "lint_taint.txt");
     model << "source ReadField ret\n"
@@ -510,7 +521,7 @@ TEST(LintTest, TaintModelEditRetunesFindingsWithoutRescanning) {
           << "sanitizer ParseInt32\n";
   }
   RunLint(base, &output);
-  EXPECT_NE(output.find("(5 from cache)"), std::string::npos) << output;
+  EXPECT_NE(output.find("(6 from cache)"), std::string::npos) << output;
   EXPECT_EQ(CountOf(output, "taint-unchecked-sink:"), 2u) << output;
   EXPECT_EQ(output.find("resize()"), std::string::npos) << output;
   fs::remove_all(root);

@@ -7,12 +7,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cfloat>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -168,6 +171,67 @@ kg::AlignedPair ServedPair() {
   return {};
 }
 
+// A bundle whose bytes depend on nothing but this function: hand-made
+// graphs, no training, and embeddings made of the IEEE single edge cases
+// plus correctly rounded quotients, so every value's text is fixed.
+serve::SnapshotBundle FixedBundle() {
+  serve::SnapshotBundle bundle;
+  bundle.meta.model_name = "fixed";
+  bundle.meta.dataset_name = "fixed";
+  bundle.meta.inference = "greedy";
+  bundle.meta.has_relation_embeddings = true;
+  bundle.meta.has_repair = true;
+  data::EaDataset& ds = bundle.dataset;
+  ds.name = "fixed";
+  constexpr int kEntities = 6;
+  // A chain e0 -r0-> e1 -r1-> e2 -r0-> ... in each KG.
+  auto chain = [](kg::KnowledgeGraph& graph, const char* ns) {
+    for (int e = 0; e < kEntities; ++e) {
+      graph.AddEntity(StrFormat("%s/e%d", ns, e));
+    }
+    for (int e = 0; e + 1 < kEntities; ++e) {
+      graph.AddTriple(StrFormat("%s/e%d", ns, e),
+                      StrFormat("%s/r%d", ns, e % 2),
+                      StrFormat("%s/e%d", ns, e + 1));
+    }
+  };
+  chain(ds.kg1, "zh");
+  chain(ds.kg2, "en");
+  for (kg::EntityId e = 0; e < kEntities; ++e) {
+    ds.gold[e] = e;
+    if (e < 2) {
+      ds.train.Add(e, e);
+    } else {
+      ds.test.push_back({e, e});
+      ds.test_gold[e] = e;
+      ds.test_sources.push_back(e);
+    }
+  }
+  const float kEdges[] = {0.0f,    -0.0f,    FLT_TRUE_MIN, -FLT_TRUE_MIN,
+                          FLT_MIN, FLT_MAX,  -FLT_MAX,     1e-5f,
+                          1.23456789e8f, 0.1f, -2.5e-20f,  3.0e37f};
+  size_t next = 0;
+  auto fill = [&](la::Matrix& m, size_t rows) {
+    m = la::Matrix(rows, 4);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < 4; ++c, ++next) {
+        m.At(r, c) = next < std::size(kEdges)
+                         ? kEdges[next]
+                         : static_cast<float>(next * 37 % 101) / 7.0f - 7.0f;
+      }
+    }
+  };
+  fill(bundle.emb1, kEntities);
+  fill(bundle.emb2, kEntities);
+  fill(bundle.rel1, ds.kg1.num_relations());
+  fill(bundle.rel2, ds.kg2.num_relations());
+  for (kg::EntityId e = 2; e < kEntities; ++e) {
+    bundle.repaired.Add(e, e);
+    bundle.alignment.Add(e, e == 2 ? 3 : e == 3 ? 2 : e);
+  }
+  return bundle;
+}
+
 // ------------------------------------------------------------- snapshots
 
 TEST_F(ServeTest, SnapshotRoundTripIsExact) {
@@ -211,6 +275,75 @@ TEST_F(ServeTest, SnapshotRoundTripIsExact) {
   // Alignments survive pair-for-pair.
   EXPECT_EQ(bundle.alignment.SortedPairs(), offline.aligned.SortedPairs());
   EXPECT_EQ(bundle.repaired.SortedPairs(), offline.repaired.SortedPairs());
+}
+
+TEST_F(ServeTest, FixedBundleManifestIsPinned) {
+  // The MANIFEST of FixedBundle() as format version 1 has always written
+  // it: any change to a payload's bytes (the matrix writer's digits, the
+  // TSV layout) changes a checksum here.
+  constexpr char kManifest[] =
+      "exea_snapshot_version\t1\n"
+      "model\tfixed\n"
+      "dataset\tfixed\n"
+      "inference\tgreedy\n"
+      "relation_embeddings\t1\n"
+      "repair\t1\n"
+      "index\texact\n"
+      "file\tkg1_entities.tsv\t89f8a3cc2ed3054c\n"
+      "file\tkg1_relations.tsv\t65a146015163ca28\n"
+      "file\tkg2_entities.tsv\tb79ff4743945ac78\n"
+      "file\tkg2_relations.tsv\t39d6d47919aafb50\n"
+      "file\tdataset/kg1_triples.tsv\t5c12c52647900839\n"
+      "file\tdataset/kg2_triples.tsv\t80c19173525d2a38\n"
+      "file\tdataset/train_links.tsv\t31cca9ff4ddd4489\n"
+      "file\tdataset/test_links.tsv\t31ae54e7db402bdd\n"
+      "file\temb_ent1.txt\ta6e996380eef7820\n"
+      "file\temb_ent2.txt\tcae39585d0280742\n"
+      "file\temb_rel1.txt\tfd87f20183cccedf\n"
+      "file\temb_rel2.txt\tb83b94eab42a33af\n"
+      "file\talignment.tsv\t1580be23c01b2ff9\n"
+      "file\trepaired.tsv\t31ae54e7db402bdd\n";
+  std::string bundle_dir = (dir_ / "fixed").string();
+  Status written = serve::WriteSnapshot(FixedBundle(), bundle_dir);
+  ASSERT_TRUE(written.ok()) << written.ToString();
+  std::ifstream in(bundle_dir + "/MANIFEST");
+  std::stringstream manifest;
+  manifest << in.rdbuf();
+  EXPECT_EQ(manifest.str(), kManifest);
+}
+
+TEST_F(ServeTest, SnapshotFloatsMatchAnIstreamDecode) {
+  // The reference decoder is the one the loader used before it moved to
+  // std::from_chars: `std::istream >> float` over the same file. Every
+  // float ReadSnapshot returns must have the same bits.
+  std::string fixed_dir = (dir_ / "fixed").string();
+  ASSERT_TRUE(serve::WriteSnapshot(FixedBundle(), fixed_dir).ok());
+  for (const std::string& bundle_dir : {WriteBundle(), fixed_dir}) {
+    auto loaded = serve::ReadSnapshot(bundle_dir);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const serve::SnapshotBundle& bundle = **loaded;
+    for (const auto& [file, matrix] :
+         {std::pair<const char*, const la::Matrix*>{"emb_ent1.txt",
+                                                    &bundle.emb1},
+          {"emb_ent2.txt", &bundle.emb2},
+          {"emb_rel1.txt", &bundle.rel1},
+          {"emb_rel2.txt", &bundle.rel2}}) {
+      std::ifstream in(bundle_dir + "/" + file);
+      size_t rows = 0;
+      size_t cols = 0;
+      ASSERT_TRUE(in >> rows >> cols) << file;
+      ASSERT_EQ(rows, matrix->rows()) << file;
+      ASSERT_EQ(cols, matrix->cols()) << file;
+      for (size_t i = 0; i < rows * cols; ++i) {
+        float expected = 0;
+        ASSERT_TRUE(in >> expected) << file << " value " << i;
+        float actual = matrix->data()[i];
+        EXPECT_EQ(std::memcmp(&actual, &expected, sizeof(float)), 0)
+            << file << " value " << i << ": " << actual << " vs "
+            << expected;
+      }
+    }
+  }
 }
 
 TEST_F(ServeTest, VersionMismatchFailsLoudly) {
@@ -429,6 +562,65 @@ TEST_F(ServeTest, SecondExplainHitsCache) {
   auto recold = (*engine)->Explain(source, target, serve::Deadline::None());
   ASSERT_TRUE(recold.ok());
   EXPECT_FALSE(recold->cache_hit);
+}
+
+// The explainer memoizes per-entity paths from const Explain calls that
+// the serving workers make at the same time. Cold pairs explained on four
+// threads right after Open must fill that memo without a data race (the
+// TSAN leg of ci/check.sh runs this suite) and answer byte for byte what
+// one thread answers.
+TEST_F(ServeTest, ConcurrentColdExplainsMatchSerialAnswers) {
+  std::string bundle_dir = WriteBundle();
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (const kg::AlignedPair& pair : Pipeline().repaired.SortedPairs()) {
+    pairs.emplace_back(Pipeline().dataset.kg1.EntityName(pair.source),
+                       Pipeline().dataset.kg2.EntityName(pair.target));
+  }
+  ASSERT_GE(pairs.size(), 8u);
+
+  std::vector<serve::ExplainResult> serial;
+  {
+    obs::Registry registry;
+    serve::EngineOptions options;
+    options.registry = &registry;
+    auto engine = serve::QueryEngine::Open(bundle_dir, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    for (const auto& [source, target] : pairs) {
+      auto answer = (*engine)->Explain(source, target, serve::Deadline::None());
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      serial.push_back(*answer);
+    }
+  }
+
+  obs::Registry registry;
+  serve::EngineOptions options;
+  options.registry = &registry;
+  auto engine = serve::QueryEngine::Open(bundle_dir, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  constexpr size_t kThreads = 4;
+  std::vector<StatusOr<serve::ExplainResult>> concurrent(
+      pairs.size(), Status::Internal("not explained"));
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Start together so the cold fills overlap.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (size_t i = t; i < pairs.size(); i += kThreads) {
+        concurrent[i] = (*engine)->Explain(pairs[i].first, pairs[i].second,
+                                           serve::Deadline::None());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    ASSERT_TRUE(concurrent[i].ok()) << concurrent[i].status().ToString();
+    EXPECT_FALSE(concurrent[i]->cache_hit) << pairs[i].first;
+    EXPECT_EQ(concurrent[i]->json, serial[i].json) << pairs[i].first;
+    EXPECT_EQ(concurrent[i]->confidence, serial[i].confidence)
+        << pairs[i].first;
+  }
 }
 
 TEST_F(ServeTest, LruEvictsLeastRecentlyUsed) {
@@ -1522,6 +1714,18 @@ TEST_F(AsyncServerTest, FullQueueRejectsImmediatelyWithUnavailable) {
   // The worker is held and the queue is empty: the next two requests
   // fill it, and the two after that must be rejected at admission.
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(client.Send(request));
+  // Open the gate only once the loop has admitted all four: the two that
+  // fit in the queue and the two it rejects. Opened earlier, the worker
+  // could drain the queue before requests 4 and 5 arrive and admit them.
+  // The wait is bounded; the gate opens either way so the server can
+  // shut down.
+  auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (registry_.CounterValue("serve.rejected") < 2 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(registry_.CounterValue("serve.rejected"), 2u)
+      << "the loop did not reject the two overflow requests within 10 s";
   {
     std::unique_lock<std::mutex> lock(gate_mu);
     gate_open = true;
