@@ -17,7 +17,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <utility>
 
 #include "bench/common.h"
 #include "eval/csls.h"
@@ -325,40 +327,6 @@ void BM_SnapshotSwap(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SnapshotSwap)->Unit(benchmark::kMillisecond);
-
-// Scatter-gather top-k at 1..8 shards over the same table: the result is
-// bit-identical at every shard count, so the only question is where the
-// merge overhead crosses the per-shard parallelism win. items/sec is
-// queries answered.
-void BM_ShardedEngineTopK(benchmark::State& state) {
-  size_t shards = static_cast<size_t>(state.range(0));
-  serve::EngineOptions options;
-  options.shards = shards;
-  auto opened = serve::QueryEngine::Open(BundleDir(), options);
-  if (!opened.ok()) {
-    state.SkipWithError("engine open failed");
-    return;
-  }
-  serve::QueryEngine* engine = opened->get();
-  State& s = GetState();
-  std::vector<kg::AlignedPair> pairs = s.aligned.SortedPairs();
-  std::vector<kg::EntityId> ids;
-  std::vector<std::string> names;
-  for (size_t i = 0; i < 32 && i < pairs.size(); ++i) {
-    ids.push_back(pairs[i].source);
-    names.push_back(s.dataset.kg1.EntityName(pairs[i].source));
-  }
-  std::shared_ptr<const serve::ServingState> pinned = engine->AcquireState();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine->AlignResolved(*pinned, ids, names));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(ids.size()));
-}
-BENCHMARK(BM_ShardedEngineTopK)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->ArgName("exea_serve_shards")
-    ->Unit(benchmark::kMicrosecond);
 
 // ------------------------------------------------- observability overhead
 //
@@ -758,17 +726,37 @@ IndexBenchFixture& GetIndexFixture() {
   return *fixture;
 }
 
+// The exact scan at two table scales (n x 128 random rows, k = 5, the
+// served top_k): 4000 rows is one row block, 100k rows is thirteen, so a
+// single query there spreads across the pool. Wall time (UseRealTime):
+// the scan runs on the workers, not the benchmark thread.
 void BM_ExactIndexTopK(benchmark::State& state) {
-  IndexBenchFixture& fx = GetIndexFixture();
-  la::ExactIndex index(&fx.table);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.TopKAll(fx.queries, 10));
+  size_t rows = static_cast<size_t>(state.range(0));
+  size_t nq = static_cast<size_t>(state.range(1));
+  static std::map<size_t, la::Matrix>* tables =
+      bench::LeakySingleton<std::map<size_t, la::Matrix>>();
+  auto it = tables->find(rows);
+  if (it == tables->end()) {
+    Rng rng(rows);
+    la::Matrix table(rows, 128);
+    table.FillNormal(rng, 1.0f);
+    it = tables->emplace(rows, std::move(table)).first;
   }
-  state.counters["recall@10"] = 1.0;
+  Rng rng(nq);
+  la::Matrix queries(nq, 128);
+  queries.FillNormal(rng, 1.0f);
+  la::ExactIndex index(&it->second);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.TopKAll(queries, 5));
+  }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(fx.queries.rows()));
+                          static_cast<int64_t>(nq));
 }
-BENCHMARK(BM_ExactIndexTopK)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ExactIndexTopK)
+    ->ArgsProduct({{4000, 100000}, {1, 32}})
+    ->ArgNames({"n", "nq"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_IvfIndexTopK(benchmark::State& state) {
   IndexBenchFixture& fx = GetIndexFixture();
@@ -854,9 +842,6 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "exea_obs_metrics_count",
       std::to_string(exea::obs::Registry::Global().MetricCount()));
-  // The shard counts BM_ShardedEngineTopK sweeps, so a recorded sharded
-  // serving number names the partition layouts it covered.
-  benchmark::AddCustomContext("exea_serve_shards", "1,2,4,8");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -23,17 +23,10 @@ constexpr size_t kRowGrain = 16;
 // norms (and everything derived from them) stay bit-identical across
 // SIMD levels.
 std::vector<float> RowInverseNorms(const Matrix& m) {
-  return RowInverseNormsRange(m, 0, m.rows());
-}
-
-std::vector<float> RowInverseNormsRange(const Matrix& m, size_t row_begin,
-                                        size_t row_end) {
-  EXEA_CHECK_LE(row_begin, row_end);
-  EXEA_CHECK_LE(row_end, m.rows());
   const SimdOps& ops = ActiveSimdOps();
-  std::vector<float> inv(row_end - row_begin);
+  std::vector<float> inv(m.rows());
   util::ParallelFor(0, inv.size(), /*grain=*/256, [&](size_t i) {
-    const float* row = m.Row(row_begin + i);
+    const float* row = m.Row(i);
     float norm = std::sqrt(ops.dot(row, row, m.cols()));
     inv[i] = norm > 1e-12f ? 1.0f / norm : 0.0f;
   });
@@ -64,12 +57,12 @@ std::vector<ScoredIndex> TopKWithNorms(const float* query, const Matrix& table,
 
 std::vector<ScoredIndex> TopKRangeWithNorms(const float* query,
                                             const Matrix& table,
-                                            const std::vector<float>& inv_range,
+                                            const std::vector<float>& inv_table,
                                             size_t row_begin, size_t row_end,
                                             size_t k) {
   EXEA_DCHECK_LE(row_begin, row_end);
   EXEA_DCHECK_LE(row_end, table.rows());
-  EXEA_DCHECK_EQ(inv_range.size(), row_end - row_begin);
+  EXEA_DCHECK_EQ(inv_table.size(), table.rows());
   const SimdOps& ops = ActiveSimdOps();
   float qnorm = std::sqrt(ops.dot(query, query, table.cols()));
   float qinv = qnorm > 1e-12f ? 1.0f / qnorm : 0.0f;
@@ -78,14 +71,16 @@ std::vector<ScoredIndex> TopKRangeWithNorms(const float* query,
   for (size_t j = row_begin; j < row_end; ++j) {
     scored.push_back({static_cast<uint32_t>(j),
                       ops.dot(query, table.Row(j), table.cols()) * qinv *
-                          inv_range[j - row_begin]});
+                          inv_table[j]});
   }
   size_t keep = std::min(k, scored.size());
   std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
                     ScoredLess);
-  scored.resize(keep);
-  EXEA_DCHECK_LE(scored.size(), k);
-  return scored;
+  // A copy of the kept prefix, not resize(): the scratch holds one entry
+  // per scanned row, and callers keep these lists alive.
+  std::vector<ScoredIndex> top(scored.begin(), scored.begin() + keep);
+  EXEA_DCHECK_LE(top.size(), k);
+  return top;
 }
 
 Matrix CosineSimilarityMatrix(const Matrix& a, const Matrix& b) {

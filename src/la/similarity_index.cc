@@ -14,7 +14,6 @@
 #include "util/parallel.h"
 #include "util/parse.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace exea::la {
 namespace {
@@ -63,31 +62,48 @@ size_t NearestCentroid(const float* row, const Matrix& centroids,
 // ---------------------------------------------------------------------------
 
 ExactIndex::ExactIndex(const Matrix* table, obs::Registry* registry)
-    : ExactIndex(table, 0, table != nullptr ? table->rows() : 0, registry) {}
-
-ExactIndex::ExactIndex(const Matrix* table, size_t row_begin, size_t row_end,
-                       obs::Registry* registry)
-    : table_(table),
-      row_begin_(row_begin),
-      row_end_(row_end),
-      inv_norms_(RowInverseNormsRange(*table, row_begin, row_end)),
-      registry_(registry) {
+    : table_(table), registry_(registry) {
   EXEA_CHECK(table != nullptr);
-  EXEA_CHECK_LE(row_begin_, row_end_);
-  EXEA_CHECK_LE(row_end_, table_->rows());
+  inv_norms_ = RowInverseNorms(*table);
 }
-
-size_t ExactIndex::size() const { return row_end_ - row_begin_; }
 
 std::vector<std::vector<ScoredIndex>> ExactIndex::TopKAll(
     const Matrix& queries, size_t k) const {
   obs::Span span(registry_, "la.index.exact.topk");
   EXEA_CHECK_EQ(queries.cols(), table_->cols());
   Reg(registry_).GetCounter("index.exact.queries").Increment(queries.rows());
-  std::vector<std::vector<ScoredIndex>> out(queries.rows());
-  util::ParallelFor(0, queries.rows(), kRowGrain, [&](size_t i) {
-    out[i] = TopKRangeWithNorms(queries.Row(i), *table_, inv_norms_,
-                                row_begin_, row_end_, k);
+  size_t nq = queries.rows();
+  size_t rows = table_->rows();
+  size_t blocks = std::max<size_t>(1, (rows + kRowBlock - 1) / kRowBlock);
+  size_t query_blocks = (nq + kRowGrain - 1) / kRowGrain;
+
+  // Tile t covers query block t / blocks against row block t % blocks;
+  // parts[q * blocks + b] is query q's top-k within row block b.
+  std::vector<std::vector<ScoredIndex>> parts(nq * blocks);
+  util::ParallelFor(0, query_blocks * blocks, /*grain=*/1, [&](size_t t) {
+    size_t b = t % blocks;
+    size_t row_begin = b * kRowBlock;
+    size_t row_end = std::min(rows, row_begin + kRowBlock);
+    size_t q_begin = t / blocks * kRowGrain;
+    size_t q_end = std::min(nq, q_begin + kRowGrain);
+    for (size_t q = q_begin; q < q_end; ++q) {
+      parts[q * blocks + b] = TopKRangeWithNorms(
+          queries.Row(q), *table_, inv_norms_, row_begin, row_end, k);
+    }
+  });
+  if (blocks == 1) return parts;
+
+  std::vector<std::vector<ScoredIndex>> out(nq);
+  util::ParallelFor(0, nq, kRowGrain, [&](size_t q) {
+    std::vector<ScoredIndex>& merged = out[q];
+    for (size_t b = 0; b < blocks; ++b) {
+      const std::vector<ScoredIndex>& part = parts[q * blocks + b];
+      merged.insert(merged.end(), part.begin(), part.end());
+    }
+    size_t keep = std::min(k, merged.size());
+    std::partial_sort(merged.begin(), merged.begin() + keep, merged.end(),
+                      ScoredLess);
+    merged.resize(keep);
   });
   return out;
 }
@@ -164,23 +180,6 @@ IvfIndexData TrainIvfIndex(const Matrix& table, const IvfOptions& options) {
   data.iterations = static_cast<uint32_t>(options.iterations);
   data.seed = options.seed;
   return data;
-}
-
-IvfIndexData ShardIvfIndexData(const IvfIndexData& data, size_t row_begin,
-                               size_t row_end) {
-  EXEA_CHECK_LE(row_begin, row_end);
-  IvfIndexData shard;
-  shard.centroids = data.centroids;
-  shard.lists.assign(data.lists.size(), {});
-  for (size_t c = 0; c < data.lists.size(); ++c) {
-    for (uint32_t id : data.lists[c]) {
-      if (id >= row_begin && id < row_end) shard.lists[c].push_back(id);
-    }
-  }
-  shard.nprobe = data.nprobe;
-  shard.iterations = data.iterations;
-  shard.seed = data.seed;
-  return shard;
 }
 
 // ---------------------------------------------------------------------------
@@ -377,16 +376,12 @@ IvfIndex::IvfIndex(const Matrix* table, const IvfIndexData* data,
       data_(data),
       inv_norms_(RowInverseNorms(*table)),
       nprobe_(data->nprobe),
-      indexed_rows_(0),
       registry_(registry) {
   EXEA_CHECK(table != nullptr);
   EXEA_CHECK(data != nullptr);
   EXEA_CHECK(!data->empty());
   nprobe_ = std::max<size_t>(1, std::min(nprobe_, num_clusters()));
-  for (const auto& list : data_->lists) indexed_rows_ += list.size();
 }
-
-size_t IvfIndex::size() const { return indexed_rows_; }
 
 size_t IvfIndex::num_clusters() const { return data_->centroids.rows(); }
 
@@ -449,73 +444,6 @@ std::vector<std::vector<ScoredIndex>> IvfIndex::TopKAll(const Matrix& queries,
   size_t candidates = 0;
   for (size_t s : scanned) candidates += s;
   reg.GetCounter("index.ivf.candidates").Increment(candidates);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// ShardedIndex scatter-gather
-// ---------------------------------------------------------------------------
-
-ShardedIndex::ShardedIndex(std::vector<std::unique_ptr<SimilarityIndex>> shards,
-                           std::string metric_prefix, obs::Registry* registry)
-    : shards_(std::move(shards)),
-      metric_prefix_(std::move(metric_prefix)),
-      registry_(registry) {
-  EXEA_CHECK(!shards_.empty());
-  for (const auto& shard : shards_) {
-    EXEA_CHECK(shard != nullptr);
-    // A mixed fleet would make name() ambiguous and the merge contract
-    // (per-shard exactness class) unclear; the engine never builds one.
-    EXEA_CHECK_EQ(std::string(shard->name()), std::string(shards_[0]->name()));
-  }
-}
-
-const char* ShardedIndex::name() const { return shards_[0]->name(); }
-
-size_t ShardedIndex::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->size();
-  return total;
-}
-
-std::vector<std::vector<ScoredIndex>> ShardedIndex::TopKAll(
-    const Matrix& queries, size_t k) const {
-  // Scatter: every shard scans the whole batch over its own row range.
-  // Per-shard timings go to explicit histogram paths (not nested Spans)
-  // so the metric name is stable no matter which thread runs the shard.
-  std::vector<std::vector<std::vector<ScoredIndex>>> parts(shards_.size());
-  util::ParallelFor(0, shards_.size(), /*grain=*/1, [&](size_t s) {
-    WallTimer timer;
-    parts[s] = shards_[s]->TopKAll(queries, k);
-    if (!metric_prefix_.empty()) {
-      Reg(registry_)
-          .GetHistogram("span." + metric_prefix_ + "." + std::to_string(s))
-          .Record(timer.ElapsedMillis());
-    }
-  });
-
-  // Gather: concatenate the disjoint per-shard candidates and re-sort
-  // with the canonical comparator. ScoredLess is a strict total order
-  // (unique row ids break score ties), so for exact shards this prefix
-  // is bit-identical to the single-shard full scan's.
-  WallTimer merge_timer;
-  std::vector<std::vector<ScoredIndex>> out(queries.rows());
-  util::ParallelFor(0, queries.rows(), kRowGrain, [&](size_t i) {
-    std::vector<ScoredIndex> merged;
-    for (size_t s = 0; s < parts.size(); ++s) {
-      merged.insert(merged.end(), parts[s][i].begin(), parts[s][i].end());
-    }
-    size_t keep = std::min(k, merged.size());
-    std::partial_sort(merged.begin(), merged.begin() + keep, merged.end(),
-                      ScoredLess);
-    merged.resize(keep);
-    out[i] = std::move(merged);
-  });
-  if (!metric_prefix_.empty()) {
-    Reg(registry_)
-        .GetHistogram("span." + metric_prefix_ + ".merge")
-        .Record(merge_timer.ElapsedMillis());
-  }
   return out;
 }
 

@@ -20,7 +20,6 @@ uint64_t PairKey(kg::EntityId e1, kg::EntityId e2) {
 
 StateOptions StateOptionsFrom(const EngineOptions& options) {
   StateOptions state_options;
-  state_options.shards = options.shards;
   state_options.index_policy = options.index_policy;
   state_options.ivf_min_rows = options.ivf_min_rows;
   return state_options;
@@ -33,7 +32,7 @@ QueryEngine::QueryEngine(std::unique_ptr<SnapshotBundle> bundle,
     : options_(options),
       registry_(options.registry != nullptr ? options.registry
                                             : &obs::Registry::Global()),
-      manager_(options.max_resident_versions, registry_),
+      manager_(registry_),
       cache_(options.explain_cache_capacity,
              &registry_->GetGauge("serve.explain_cache.size")),
       cache_hits_(registry_->GetCounter("serve.explain_cache.hits")),
@@ -116,10 +115,8 @@ EngineStatusResult QueryEngine::EngineStatus() const {
   EngineStatusResult result;
   result.epoch = state->epoch();
   result.source = state->source();
-  result.shards = state->shards();
   result.index = state->index().name();
   result.index_size = state->index().size();
-  result.resident_versions = manager_.resident();
   result.live_versions = registry_->GaugeValue("serve.snapshot.versions");
   result.swaps = registry_->CounterValue("serve.snapshot.swaps");
   result.explain_cache_size = cache_.size();

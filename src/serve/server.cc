@@ -1,14 +1,11 @@
 #include "serve/server.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
-#include "net/socket_io.h"
 #include "util/logging.h"
 #include "util/parse.h"
 #include "util/string_util.h"
@@ -16,6 +13,11 @@
 
 namespace exea::serve {
 namespace {
+
+// Every op HandleLine dispatches; each gets its own serve.op.* counter.
+constexpr std::string_view kOps[] = {
+    "align", "explain", "neighbors", "repair_status", "stats",
+    "load_snapshot", "engine_status", "shutdown"};
 
 // ------------------------------------------------------- flat JSON parser
 
@@ -250,7 +252,22 @@ Server::Server(QueryEngine* engine, const ServerOptions& options)
       deadline_exceeded_(registry_->GetCounter("serve.deadline_exceeded")),
       rejected_(registry_->GetCounter("serve.rejected")),
       shed_(registry_->GetCounter("serve.shed")),
-      latency_ms_(registry_->GetHistogram("serve.latency_ms")) {}
+      latency_ms_(registry_->GetHistogram("serve.latency_ms")),
+      op_none_(registry_->GetCounter("serve.op.(none)")),
+      op_unknown_(registry_->GetCounter("serve.op.(unknown)")) {
+  for (std::string_view op : kOps) {
+    op_counters_.emplace_back(
+        op, &registry_->GetCounter("serve.op." + std::string(op)));
+  }
+}
+
+obs::Counter& Server::OpCounter(const std::string& op) {
+  if (op.empty()) return op_none_;
+  for (const auto& [name, counter] : op_counters_) {
+    if (op == name) return *counter;
+  }
+  return op_unknown_;
+}
 
 std::string Server::RejectOversized(size_t observed_bytes) {
   requests_.Increment();
@@ -299,8 +316,7 @@ std::string Server::HandleLine(const std::string& line) {
     malformed_.Increment();
     errors_.Increment();
   } else {
-    registry_->GetCounter("serve.op." + (op.empty() ? "(none)" : op))
-        .Increment();
+    OpCounter(op).Increment();
   }
   if (!fields.ok()) {
     response = ErrorResponse(fields.status());
@@ -482,7 +498,8 @@ std::string Server::HandleLine(const std::string& line) {
           EngineStatusResult status = engine_->EngineStatus();
           std::ostringstream out;
           out << "{\"ok\":true,\"op\":\"load_snapshot\",\"epoch\":" << *epoch
-              << ",\"versions\":" << status.resident_versions
+              << ",\"versions\":"
+              << static_cast<uint64_t>(status.live_versions)
               << ",\"swaps\":" << status.swaps << "}";
           response = out.str();
         }
@@ -492,10 +509,9 @@ std::string Server::HandleLine(const std::string& line) {
       std::ostringstream out;
       out << "{\"ok\":true,\"op\":\"engine_status\",\"epoch\":"
           << status.epoch << ",\"source\":\"" << JsonEscape(status.source)
-          << "\",\"shards\":" << status.shards << ",\"index\":\""
-          << JsonEscape(status.index) << "\",\"index_size\":"
-          << status.index_size << ",\"resident_versions\":"
-          << status.resident_versions << ",\"live_versions\":"
+          << "\",\"index\":\"" << JsonEscape(status.index)
+          << "\",\"index_size\":" << status.index_size
+          << ",\"live_versions\":"
           << static_cast<uint64_t>(status.live_versions)
           << ",\"swaps\":" << status.swaps << ",\"explain_cache_size\":"
           << status.explain_cache_size << "}";
@@ -535,8 +551,8 @@ std::string Server::StatsJson() const {
   out << "{\"index\":\"" << engine_status.index << "\",\"index_size\":"
       << engine_status.index_size
       << ",\"epoch\":" << engine_status.epoch
-      << ",\"shards\":" << engine_status.shards
-      << ",\"snapshot_versions\":" << engine_status.resident_versions
+      << ",\"snapshot_versions\":"
+      << static_cast<uint64_t>(engine_status.live_versions)
       << ",\"snapshot_swaps\":" << engine_status.swaps
       << ",\"requests\":" << requests_.Value()
       << ",\"ok\":" << ok_.Value()
@@ -587,48 +603,6 @@ void Server::Serve(std::istream& in, std::ostream& out) {
   }
   std::fprintf(stderr, "server exiting; final stats: %s\n",
                StatsJson().c_str());
-}
-
-Status Server::ServeTcp(int port) {
-  // A real backlog (not the historical 1) so a connect burst queues in
-  // the kernel while the previous client finishes, instead of being
-  // refused before accept() ever runs.
-  auto listener = net::ListenOn(port, net::kListenBacklog);
-  if (!listener.ok()) return listener.status();
-  auto bound = net::BoundPort(*listener);
-  if (!bound.ok()) {
-    // The listener is already live; dropping the fd here would leak it
-    // for the life of the process (and hold the port).
-    ::close(*listener);
-    return bound.status();
-  }
-  std::fprintf(stderr, "listening on 127.0.0.1:%d\n", *bound);
-
-  while (!shutdown_requested_) {
-    int client = net::AcceptRetry(*listener);
-    if (client < 0) continue;
-    net::LineReader reader(client);
-    std::string request;
-    bool truncated;
-    size_t truncated_bytes;
-    while (!shutdown_requested_ &&
-           reader.ReadLine(options_.max_request_bytes, &request, &truncated,
-                           &truncated_bytes)) {
-      if (!truncated && Trim(request).empty()) continue;
-      std::string response = truncated ? RejectOversized(truncated_bytes)
-                                       : HandleLine(request);
-      response += '\n';
-      // A client that vanished mid-response is that client's problem, not
-      // the serving loop's: WriteAll already survived EINTR/short writes
-      // and MSG_NOSIGNAL kept EPIPE from becoming SIGPIPE. Move on.
-      if (!net::WriteAll(client, response).ok()) break;
-    }
-    ::close(client);
-  }
-  ::close(*listener);
-  std::fprintf(stderr, "server exiting; final stats: %s\n",
-               StatsJson().c_str());
-  return Status::Ok();
 }
 
 }  // namespace exea::serve

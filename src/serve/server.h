@@ -1,6 +1,6 @@
 // The serving request loop: newline-delimited JSON, one request per line,
-// one response line per request, over stdin/stdout (exea_cli serve) or an
-// optional localhost TCP listener.
+// one response line per request, over stdin/stdout (exea_cli serve) or,
+// through serve::AsyncServer, a localhost TCP listener.
 //
 // Requests (flat JSON objects, string values):
 //   {"op":"align","entity":"zh/Foo"}
@@ -34,6 +34,8 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -93,14 +95,12 @@ class Server {
   // can converse synchronously). Dumps the stats to stderr on exit.
   void Serve(std::istream& in, std::ostream& out);
 
-  // Listens on 127.0.0.1:`port`, serving one client connection at a time
-  // with the same protocol, until a client sends {"op":"shutdown"}.
-  [[nodiscard]] Status ServeTcp(int port);
-
   // The registry this server's metrics live in:
   //   serve.requests / .ok / .errors / .malformed / .oversized /
   //   .deadline_exceeded                      counters
-  //   serve.op.<op>                           per-op request counters
+  //   serve.op.<op>                           per-op request counters:
+  //                                           one per known op, plus
+  //                                           (none) and (unknown)
   //   serve.latency_ms                        histogram over all requests
   const obs::Registry& registry() const { return *registry_; }
 
@@ -138,6 +138,10 @@ class Server {
   std::string ShedExpired(double queue_wait_ms);
 
  private:
+  // The serve.op.* counter for `op`: its own for a known op, (none) for
+  // a missing one, (unknown) for anything else.
+  obs::Counter& OpCounter(const std::string& op);
+
   QueryEngine* engine_;
   ServerOptions options_;
   std::atomic<bool> shutdown_requested_{false};
@@ -155,6 +159,11 @@ class Server {
   obs::Counter& rejected_;   // admission rejections (queue full)
   obs::Counter& shed_;       // dequeued with an already-expired deadline
   obs::Histogram& latency_ms_;
+  // Resolved once in the constructor, so a request never takes the
+  // registry mutex and a client's op names cannot add metrics.
+  std::vector<std::pair<std::string_view, obs::Counter*>> op_counters_;
+  obs::Counter& op_none_;
+  obs::Counter& op_unknown_;
   AlignDispatcher align_dispatcher_;  // empty → engine_->AlignBatch
 };
 

@@ -242,49 +242,54 @@ TEST(DeterminismTest, ShapleyAttributionsAreThreadCountInvariant) {
   }
 }
 
-// The sharded scatter-gather merge is doubly invariant: at any thread
-// count AND any shard count, the per-query top-k is bit-identical to the
-// serial single-index scan. Shard boundaries deliberately misalign with
-// the ParallelFor row grain.
-TEST(DeterminismTest, ShardedTopKIsShardAndThreadCountInvariant) {
-  la::Matrix queries = SeededMatrix(31, 93, 24);
-  la::Matrix table = SeededMatrix(32, 517, 24);
+// ExactIndex splits a large table into fixed row blocks and merges the
+// per-block lists in block order; at every (SIMD level, thread count)
+// cell its answers must equal the scalar/serial full scan bit for bit.
+// The table spans four blocks with a ragged last one, and duplicated
+// rows on both sides of each boundary make equal scores that only the
+// index tie-break can order.
+TEST(DeterminismTest, RowBlockedExactIndexIsSimdLevelAndThreadCountInvariant) {
+  constexpr size_t B = la::ExactIndex::kRowBlock;
+  la::SimdLevel original = la::ActiveSimdLevel();
+  std::vector<la::SimdLevel> levels = {la::SimdLevel::kScalar};
+  if (la::Avx2Supported()) levels.push_back(la::SimdLevel::kAvx2);
+
+  la::Matrix table = SeededMatrix(51, 3 * B + 17, 24);
+  for (size_t boundary = B; boundary < table.rows(); boundary += B) {
+    std::copy(table.Row(boundary - 1), table.Row(boundary - 1) + 24,
+              table.Row(boundary));
+  }
+  la::Matrix queries = SeededMatrix(52, 33, 24);
+  std::copy(table.Row(B - 1), table.Row(B - 1) + 24, queries.Row(0));
+  std::copy(table.Row(2 * B - 1), table.Row(2 * B - 1) + 24, queries.Row(17));
   obs::Registry registry;
 
-  util::SetThreadCount(1);
-  la::ExactIndex single(&table, &registry);
-  auto baseline = single.TopKAll(queries, 10);
-  util::SetThreadCount(0);
-
-  for (size_t shards : {size_t{2}, size_t{5}, size_t{13}}) {
-    auto build = [&] {
-      std::vector<std::unique_ptr<la::SimilarityIndex>> children;
-      size_t grain = (table.rows() + shards - 1) / shards;
-      for (size_t s = 0; s < shards; ++s) {
-        size_t begin = std::min(table.rows(), s * grain);
-        size_t end = std::min(table.rows(), begin + grain);
-        children.push_back(std::make_unique<la::ExactIndex>(
-            &table, begin, end, &registry));
-      }
-      return la::ShardedIndex(std::move(children), "", &registry);
-    };
-    auto results = RunAtEachThreadCount(
-        [&] { return build().TopKAll(queries, 10); });
-    for (size_t i = 0; i < results.size(); ++i) {
-      ASSERT_EQ(baseline.size(), results[i].size());
-      for (size_t q = 0; q < baseline.size(); ++q) {
-        ASSERT_EQ(baseline[q].size(), results[i][q].size());
-        for (size_t r = 0; r < baseline[q].size(); ++r) {
-          EXPECT_EQ(baseline[q][r].index, results[i][q][r].index)
-              << "shards=" << shards << " threads=" << kThreadCounts[i]
-              << " query " << q;
-          EXPECT_EQ(baseline[q][r].score, results[i][q][r].score)
-              << "shards=" << shards << " threads=" << kThreadCounts[i]
-              << " query " << q;
+  for (size_t k : {size_t{5}, size_t{40}}) {
+    la::SetSimdLevelForTest(la::SimdLevel::kScalar);
+    util::SetThreadCount(1);
+    auto baseline = la::TopKByCosineAll(queries, table, k);
+    for (la::SimdLevel level : levels) {
+      la::SetSimdLevelForTest(level);
+      for (size_t threads : {1, 2, 3, 8}) {
+        util::SetThreadCount(threads);
+        auto got = la::ExactIndex(&table, &registry).TopKAll(queries, k);
+        ASSERT_EQ(baseline.size(), got.size());
+        for (size_t q = 0; q < baseline.size(); ++q) {
+          ASSERT_EQ(baseline[q].size(), got[q].size());
+          for (size_t r = 0; r < baseline[q].size(); ++r) {
+            EXPECT_EQ(baseline[q][r].index, got[q][r].index)
+                << la::SimdLevelName(level) << " threads=" << threads
+                << " k=" << k << " query " << q;
+            EXPECT_EQ(baseline[q][r].score, got[q][r].score)
+                << la::SimdLevelName(level) << " threads=" << threads
+                << " k=" << k << " query " << q;
+          }
         }
       }
     }
   }
+  la::SetSimdLevelForTest(original);
+  util::SetThreadCount(0);
 }
 
 }  // namespace

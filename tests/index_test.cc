@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -28,6 +27,7 @@
 #include "la/similarity.h"
 #include "la/similarity_index.h"
 #include "obs/metrics.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -334,114 +334,91 @@ TEST(IndexEdgeTest, KLargerThanTableReturnsAllRows) {
   EXPECT_TRUE(ResultsBitEqual(exact_got, ivf_got));
 }
 
-// ------------------------------------------------------- sharded index
+// --------------------------------------------------- row-blocked scan
 
-// Row-wise shard layout mirroring serve's: contiguous ranges of
-// ceil(rows/shards) rows each, children over [begin, end).
-std::unique_ptr<la::SimilarityIndex> MakeShardedExact(
-    const la::Matrix& table, size_t shards, obs::Registry* registry) {
-  std::vector<std::unique_ptr<la::SimilarityIndex>> children;
-  size_t grain = (table.rows() + shards - 1) / shards;
-  for (size_t s = 0; s < shards; ++s) {
-    size_t begin = std::min(table.rows(), s * grain);
-    size_t end = std::min(table.rows(), begin + grain);
-    children.push_back(
-        std::make_unique<la::ExactIndex>(&table, begin, end, registry));
+// A seeded table whose duplicated rows straddle ExactIndex's row-block
+// boundaries (row B-1 copied to B, row 3 to B+1, 2B and 3B+16, where
+// they exist), with queries that are copies of those rows followed by
+// seeded noise — so equal scores sit at the top of every list and only
+// the index tie-break decides their order.
+struct TiedFixture {
+  la::Matrix table{0, 0};
+  la::Matrix queries{0, 0};
+};
+
+TiedFixture MakeTiedFixture(uint64_t seed, size_t rows, size_t nq,
+                            size_t dim) {
+  constexpr size_t B = la::ExactIndex::kRowBlock;
+  Rng rng(seed);
+  TiedFixture fx;
+  fx.table = la::Matrix(rows, dim);
+  fx.table.FillNormal(rng, 1.0f);
+  const std::pair<size_t, size_t> copies[] = {
+      {B - 1, B}, {3, B + 1}, {3, 2 * B}, {3, 3 * B + 16}};
+  for (const auto& [from, to] : copies) {
+    if (to >= rows) continue;
+    std::copy(fx.table.Row(from), fx.table.Row(from) + dim, fx.table.Row(to));
   }
-  return std::make_unique<la::ShardedIndex>(std::move(children),
-                                            "test.shard", registry);
-}
-
-class ShardedIndexTest : public IndexTest {};
-
-// The core scatter-gather guarantee: per-shard top-k over disjoint row
-// ranges, merged under the (score desc, index asc) strict total order,
-// is BIT-identical to the single-index exhaustive scan — every score,
-// every id, every tie broken the same way, at any shard count.
-TEST_F(ShardedIndexTest, ExactShardsAreBitIdenticalToSingleIndex) {
-  la::ExactIndex single(&table_, &registry_);
-  for (size_t k : {size_t{1}, size_t{10}, size_t{50}}) {
-    auto want = single.TopKAll(queries_, k);
-    for (size_t shards : {size_t{2}, size_t{3}, size_t{7}, size_t{16}}) {
-      auto index = MakeShardedExact(table_, shards, &registry_);
-      EXPECT_STREQ(index->name(), "exact");
-      EXPECT_EQ(index->size(), table_.rows());
-      EXPECT_TRUE(ResultsBitEqual(want, index->TopKAll(queries_, k)))
-          << "k=" << k << " shards=" << shards;
-    }
+  fx.queries = la::Matrix(nq, dim);
+  fx.queries.FillNormal(rng, 1.0f);
+  const size_t sources[] = {B - 1, 3};
+  for (size_t q = 0; q < nq && q < 2; ++q) {
+    if (sources[q] >= rows) continue;
+    std::copy(fx.table.Row(sources[q]), fx.table.Row(sources[q]) + dim,
+              fx.queries.Row(q));
   }
+  return fx;
 }
 
-TEST_F(ShardedIndexTest, RecordsPerShardAndMergeSpans) {
-  auto index = MakeShardedExact(table_, 3, &registry_);
-  (void)index->TopKAll(queries_, 5);
-  EXPECT_EQ(registry_.GetHistogram("span.test.shard.0").Count(), 1u);
-  EXPECT_EQ(registry_.GetHistogram("span.test.shard.1").Count(), 1u);
-  EXPECT_EQ(registry_.GetHistogram("span.test.shard.2").Count(), 1u);
-  EXPECT_EQ(registry_.GetHistogram("span.test.shard.merge").Count(), 1u);
-}
-
-// ShardIvfIndexData slices the posting lists row-wise without touching
-// the centroids: every indexed row lands in exactly one shard, and a
-// full-probe sharded IVF stays bit-identical to the exhaustive scan
-// (each shard's probe covers all of its rows, and the merge order is
-// the same strict total order the exact path uses).
-TEST_F(ShardedIndexTest, ShardIvfIndexDataPartitionsRowsExactly) {
-  const size_t shards = 4;
-  size_t grain = (table_.rows() + shards - 1) / shards;
-  std::vector<la::IvfIndexData> parts;
-  std::vector<std::unique_ptr<la::SimilarityIndex>> children;
-  parts.reserve(shards);
-  size_t total = 0;
-  std::vector<int> seen(table_.rows(), 0);
-  for (size_t s = 0; s < shards; ++s) {
-    size_t begin = std::min(table_.rows(), s * grain);
-    size_t end = std::min(table_.rows(), begin + grain);
-    parts.push_back(la::ShardIvfIndexData(ivf_, begin, end));
-    const la::IvfIndexData& part = parts.back();
-    EXPECT_EQ(part.centroids.data(), ivf_.centroids.data());
-    for (const auto& list : part.lists) {
-      for (uint32_t id : list) {
-        ASSERT_GE(id, begin);
-        ASSERT_LT(id, end);
-        ++seen[id];
-        ++total;
+// The row-blocked scan against the plain full scan, bit for bit, over
+// every table size around the block boundaries, query counts around the
+// 16-query tile, k below / above the ragged last block and above n, and
+// several thread counts (the tiling must not depend on them).
+TEST(RowBlockedIndexTest, MatchesTopKByCosineAllAcrossBlockBoundaries) {
+  constexpr size_t B = la::ExactIndex::kRowBlock;
+  obs::Registry registry;
+  for (size_t rows : {size_t{0}, size_t{1}, B - 1, B, B + 1, 3 * B + 17}) {
+    for (size_t nq : {size_t{1}, size_t{15}, size_t{16}, size_t{17},
+                      size_t{33}}) {
+      TiedFixture fx = MakeTiedFixture(rows * 131 + nq, rows, nq, 8);
+      la::ExactIndex index(&fx.table, &registry);
+      EXPECT_EQ(index.size(), rows);
+      // 20 > the 17-row ragged last block of 3B+17 (and of B+1's 1 row).
+      for (size_t k : {size_t{1}, size_t{5}, size_t{20}, rows + 1}) {
+        util::SetThreadCount(1);
+        auto want = la::TopKByCosineAll(fx.queries, fx.table, k);
+        for (size_t threads : {1, 2, 3, 8}) {
+          util::SetThreadCount(threads);
+          EXPECT_TRUE(ResultsBitEqual(want, index.TopKAll(fx.queries, k)))
+              << "rows=" << rows << " nq=" << nq << " k=" << k
+              << " threads=" << threads;
+        }
       }
     }
   }
-  EXPECT_EQ(total, table_.rows());
-  for (size_t r = 0; r < table_.rows(); ++r) {
-    EXPECT_EQ(seen[r], 1) << "row " << r << " must be in exactly one shard";
-  }
-
-  for (size_t s = 0; s < shards; ++s) {
-    size_t begin = std::min(table_.rows(), s * grain);
-    size_t end = std::min(table_.rows(), begin + grain);
-    auto child = std::make_unique<la::IvfIndex>(&table_, &parts[s],
-                                                &registry_);
-    child->set_nprobe(child->num_clusters());
-    EXPECT_EQ(child->size(), end - begin);
-    children.push_back(std::move(child));
-  }
-  la::ShardedIndex sharded(std::move(children), "", &registry_);
-  EXPECT_STREQ(sharded.name(), "ivf");
-  EXPECT_EQ(sharded.size(), table_.rows());
-  la::ExactIndex exact(&table_, &registry_);
-  EXPECT_TRUE(ResultsBitEqual(exact.TopKAll(queries_, 10),
-                              sharded.TopKAll(queries_, 10)));
+  util::SetThreadCount(0);
 }
 
-TEST(IndexEdgeTest, SingleShardShardedIndexDegenerates) {
-  la::Matrix tiny = ClusteredTable(9, 7, 4, 2);
+// The duplicated rows really tie and straddle a block boundary: query 0
+// is a copy of row B-1, which also sits at row B, so its top two are
+// those rows at the same score, lower id first.
+TEST(RowBlockedIndexTest, TiesAcrossABlockBoundaryBreakOnRowId) {
+  constexpr size_t B = la::ExactIndex::kRowBlock;
+  TiedFixture fx = MakeTiedFixture(5, 2 * B + 1, 2, 16);
   obs::Registry registry;
-  la::ExactIndex single(&tiny, &registry);
-  std::vector<std::unique_ptr<la::SimilarityIndex>> children;
-  children.push_back(
-      std::make_unique<la::ExactIndex>(&tiny, 0, tiny.rows(), &registry));
-  la::ShardedIndex sharded(std::move(children), "", &registry);
-  la::Matrix queries = PerturbedQueries(5, tiny, 3);
-  EXPECT_TRUE(ResultsBitEqual(single.TopKAll(queries, 3),
-                              sharded.TopKAll(queries, 3)));
+  la::ExactIndex index(&fx.table, &registry);
+  auto got = index.TopKAll(fx.queries, 4);
+  ASSERT_EQ(got[0].size(), 4u);
+  EXPECT_EQ(got[0][0].index, B - 1);
+  EXPECT_EQ(got[0][1].index, B);
+  EXPECT_EQ(got[0][0].score, got[0][1].score);
+  // Row 3 is copied to B+1 and 2B: three equal scores across three
+  // blocks, in id order.
+  ASSERT_EQ(got[1].size(), 4u);
+  EXPECT_EQ(got[1][0].index, 3u);
+  EXPECT_EQ(got[1][1].index, B + 1);
+  EXPECT_EQ(got[1][2].index, 2 * B);
+  EXPECT_EQ(got[1][0].score, got[1][2].score);
 }
 
 }  // namespace

@@ -841,19 +841,17 @@ TEST_F(ServeTest, EngineStatusTracksVersionsAcrossSwaps) {
   obs::Registry registry;
   serve::EngineOptions options;
   options.registry = &registry;
-  options.max_resident_versions = 2;
   auto engine = serve::QueryEngine::Open(WriteBundle(), options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   serve::EngineStatusResult fresh = (*engine)->EngineStatus();
   EXPECT_EQ(fresh.epoch, 1u);
-  EXPECT_EQ(fresh.shards, 1u);
   EXPECT_EQ(fresh.index, "exact");
   EXPECT_EQ(fresh.index_size, Pipeline().dataset.kg2.num_entities());
-  EXPECT_EQ(fresh.resident_versions, 1u);
   EXPECT_EQ(fresh.live_versions, 1.0);
   EXPECT_EQ(fresh.swaps, 0u);
 
+  // No reader pins the first version, so the swap frees it at once.
   std::string alt = WriteAltBundle();
   auto second = (*engine)->LoadSnapshot(alt);
   ASSERT_TRUE(second.ok());
@@ -861,33 +859,33 @@ TEST_F(ServeTest, EngineStatusTracksVersionsAcrossSwaps) {
   serve::EngineStatusResult swapped = (*engine)->EngineStatus();
   EXPECT_EQ(swapped.epoch, 2u);
   EXPECT_EQ(swapped.swaps, 1u);
-  // max_resident_versions = 2: the retired version stays pinned by the
-  // manager itself, so both are alive.
-  EXPECT_EQ(swapped.resident_versions, 2u);
-  EXPECT_EQ(swapped.live_versions, 2.0);
+  EXPECT_EQ(swapped.live_versions, 1.0);
   EXPECT_EQ(swapped.source, alt);
 
-  // A third install evicts the oldest resident; with no reader pinning
-  // it, the version count settles back to the resident cap.
+  // A pinned reader keeps its version alive across the next swap, and
+  // only until its handle drops.
+  std::shared_ptr<const serve::ServingState> pinned = (*engine)->AcquireState();
   auto third = (*engine)->LoadSnapshot(WriteBundle());
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(*third, 3u);
-  serve::EngineStatusResult settled = (*engine)->EngineStatus();
-  EXPECT_EQ(settled.resident_versions, 2u);
-  EXPECT_EQ(settled.live_versions, 2.0);
-  EXPECT_EQ(settled.swaps, 2u);
+  serve::EngineStatusResult held = (*engine)->EngineStatus();
+  EXPECT_EQ(held.epoch, 3u);
+  EXPECT_EQ(held.live_versions, 2.0);
+  EXPECT_EQ(held.swaps, 2u);
+  EXPECT_EQ(pinned->epoch(), 2u);
+  pinned.reset();
+  EXPECT_EQ((*engine)->EngineStatus().live_versions, 1.0);
 }
 
 // The index-borrow lifetime regression, shaped for TSAN: readers align
 // against whatever version they pinned while the main thread churns
-// swaps with max_resident_versions = 1, so every retired version's only
-// lifeline is the readers' refcounted handles. With the old raw
+// swaps, so every retired version's only lifeline is the readers'
+// refcounted handles. With the old raw
 // `&bundle_->emb2` borrow this was a use-after-free under swap.
 TEST_F(ServeTest, SwapChurnWhileAlignsStayInFlight) {
   obs::Registry registry;
   serve::EngineOptions options;
   options.registry = &registry;
-  options.max_resident_versions = 1;
   auto engine = serve::QueryEngine::Open(WriteBundle(), options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   std::string a = WriteBundle();
@@ -928,46 +926,6 @@ TEST_F(ServeTest, SwapChurnWhileAlignsStayInFlight) {
   // Every retired version was actually freed once its readers drained:
   // the versions gauge decrements in the handle's deleter.
   EXPECT_EQ(registry.GaugeValue("serve.snapshot.versions"), 1.0);
-}
-
-// Sharded serving is an implementation detail: for every shard count the
-// full response bytes — candidates, scores, ordering, index name — must
-// match the single-index engine exactly on the exact-scan path.
-TEST_F(ServeTest, ShardedServingIsByteIdenticalToSingleShard) {
-  std::string bundle_dir = WriteBundle();
-  std::vector<std::string> names;
-  for (kg::EntityId e = 0; e < Pipeline().dataset.kg1.num_entities(); ++e) {
-    names.push_back(Pipeline().dataset.kg1.EntityName(e));
-  }
-
-  for (size_t k : {size_t{1}, size_t{3}, size_t{10}}) {
-    serve::EngineOptions single_options;
-    single_options.top_k = k;
-    auto single = serve::QueryEngine::Open(bundle_dir, single_options);
-    ASSERT_TRUE(single.ok()) << single.status().ToString();
-    serve::Server single_server((*single).get(), serve::ServerOptions{});
-
-    for (size_t shards : {size_t{2}, size_t{3}, size_t{5}, size_t{8}}) {
-      serve::EngineOptions sharded_options;
-      sharded_options.top_k = k;
-      sharded_options.shards = shards;
-      auto sharded = serve::QueryEngine::Open(bundle_dir, sharded_options);
-      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-      EXPECT_EQ((*sharded)->EngineStatus().shards,
-                std::min(shards, Pipeline().dataset.kg2.num_entities()));
-      // The shard layout is invisible in the reported strategy…
-      EXPECT_STREQ((*sharded)->AcquireState()->index().name(), "exact");
-      // …and in every served byte.
-      serve::Server sharded_server((*sharded).get(), serve::ServerOptions{});
-      for (const std::string& name : names) {
-        std::string request = StrFormat(
-            "{\"op\":\"align\",\"entity\":\"%s\"}", name.c_str());
-        EXPECT_EQ(sharded_server.HandleLine(request),
-                  single_server.HandleLine(request))
-            << "k=" << k << " shards=" << shards << " entity=" << name;
-      }
-    }
-  }
 }
 
 TEST_F(ServeTest, NeighborsAndRepairStatus) {
@@ -1103,6 +1061,30 @@ TEST_F(ServerTest, MalformedRequestDoesNotKillTheLoop) {
   EXPECT_EQ(registry_.CounterValue("serve.malformed"), 1u);
   EXPECT_EQ(registry_.CounterValue("serve.errors"), 3u);
   EXPECT_EQ(registry_.CounterValue("serve.ok"), 1u);
+}
+
+// Op names are client data: every unknown op shares one counter, so a
+// client cannot mint a metric per request (each would have lived in the
+// registry, and in every stats reply, for the life of the process).
+TEST_F(ServerTest, UnknownOpNamesDoNotGrowTheRegistry) {
+  StartServer();
+  size_t before = server_->registry().MetricCount();
+  for (int i = 0; i < 1000; ++i) {
+    std::string response = server_->HandleLine(
+        StrFormat("{\"op\":\"no-such-op-%d\"}", i));
+    ASSERT_EQ(response.rfind("{\"ok\":false", 0), 0u) << response;
+  }
+  std::string long_op =
+      server_->HandleLine("{\"op\":\"" + std::string(64 << 10, 'x') + "\"}");
+  EXPECT_NE(long_op.find("INVALID_ARGUMENT"), std::string::npos);
+  EXPECT_LE(server_->registry().MetricCount(), before + 1);
+  EXPECT_EQ(registry_.CounterValue("serve.op.(unknown)"), 1001u);
+
+  (void)server_->HandleLine("{\"entity\":\"x\"}");
+  EXPECT_EQ(registry_.CounterValue("serve.op.(none)"), 1u);
+  std::string stats = server_->HandleLine("{\"op\":\"stats\"}");
+  EXPECT_EQ(registry_.CounterValue("serve.op.stats"), 1u);
+  EXPECT_EQ(stats.find("no-such-op"), std::string::npos);
 }
 
 TEST_F(ServerTest, UnknownEntityMapsToNotFound) {
@@ -1242,7 +1224,6 @@ TEST_F(ServerTest, LoadSnapshotOpSwapsAndEngineStatusReports) {
   EXPECT_EQ(status0.rfind("{\"ok\":true", 0), 0u) << status0;
   EXPECT_NE(status0.find("\"epoch\":1"), std::string::npos) << status0;
   EXPECT_NE(status0.find("\"swaps\":0"), std::string::npos) << status0;
-  EXPECT_NE(status0.find("\"shards\":1"), std::string::npos) << status0;
 
   std::string swap = server_->HandleLine(StrFormat(
       "{\"op\":\"load_snapshot\",\"dir\":\"%s\"}",

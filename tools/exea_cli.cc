@@ -32,11 +32,10 @@
 //             --index=ivf also trains and persists the IVF coarse quantizer.
 //   serve     --bundle BUNDLE [--port N] [--deadline-ms N] [--cache N]
 //             [--topk N] [--index auto|exact|ivf] [--workers N]
-//             [--queue N] [--max-conns N] [--max-batch N] [--blocking]
+//             [--queue N] [--max-conns N] [--max-batch N]
 //             Load a snapshot bundle and answer newline-delimited JSON
-//             queries on stdin/stdout (or on 127.0.0.1:PORT with --port;
-//             the TCP path runs the concurrent async core unless
-//             --blocking asks for the single-client loop).
+//             queries on stdin/stdout (or on 127.0.0.1:PORT with --port,
+//             through the concurrent async core).
 //   bench-recall  [--rows N] [--dim N] [--queries N] [--k N] [--clusters N]
 //             [--seed N]
 //             Synthetic recall@k vs. QPS sweep: exact scan vs. the IVF
@@ -187,9 +186,7 @@ const char* SubcommandHelp(const std::string& command) {
   if (command == "serve") {
     return "exea_cli serve --bundle BUNDLE [--port N] [--deadline-ms N]\n"
            "  [--cache N] [--topk N] [--index auto|exact|ivf]\n"
-           "  [--shards N] [--resident N]\n"
            "  [--workers N] [--queue N] [--max-conns N] [--max-batch N]\n"
-           "  [--blocking]\n"
            "  Load a snapshot bundle and answer newline-delimited JSON\n"
            "  requests on stdin/stdout, one response line per request\n"
            "  (or on 127.0.0.1:PORT with --port). Ops: align, explain,\n"
@@ -201,15 +198,12 @@ const char* SubcommandHelp(const std::string& command) {
            "  With --port the concurrent async core serves: --workers\n"
            "  request threads behind a --queue-bounded admission queue\n"
            "  (full queue => UNAVAILABLE), at most --max-conns clients,\n"
-           "  align micro-batched up to --max-batch rows per dispatch.\n"
-           "  --blocking falls back to the single-client synchronous\n"
-           "  loop; responses are byte-identical either way.\n"
-           "  --shards N partitions the target table row-wise across N\n"
-           "  per-shard indexes searched in parallel; results are\n"
-           "  bit-identical to --shards 1 on the exact path. --resident N\n"
-           "  keeps the newest N snapshot versions pinned after hot swaps\n"
-           "  (in-flight requests retain older versions until they "
-           "drain).\n";
+           "  align micro-batched up to --max-batch rows per dispatch;\n"
+           "  responses are byte-identical to the stdin/stdout loop's.\n"
+           "  The exact scan splits large tables into fixed row blocks\n"
+           "  searched in parallel; results do not depend on the thread\n"
+           "  count. A hot swap (load_snapshot) retires the old version\n"
+           "  once its in-flight requests drain.\n";
   }
   if (command == "swap") {
     return "exea_cli swap --port N --bundle DIR\n"
@@ -660,9 +654,6 @@ int CmdServe(const Flags& flags) {
       static_cast<size_t>(flags.GetInt("cache", 256));
   engine_options.top_k = static_cast<size_t>(flags.GetInt("topk", 5));
   engine_options.index_policy = flags.GetString("index", "auto");
-  engine_options.shards = static_cast<size_t>(flags.GetInt("shards", 1));
-  engine_options.max_resident_versions =
-      static_cast<size_t>(flags.GetInt("resident", 2));
   auto engine = serve::QueryEngine::Open(bundle_dir, engine_options);
   if (!engine.ok()) return Fail(engine.status().ToString());
   {
@@ -670,12 +661,11 @@ int CmdServe(const Flags& flags) {
         (*engine)->AcquireState();
     std::fprintf(stderr,
                  "serving %s (%s, %zu pairs, index %s over %zu "
-                 "entities, %zu shard%s, epoch %llu)\n",
+                 "entities, epoch %llu)\n",
                  bundle_dir.c_str(),
                  state->bundle().meta.model_name.c_str(),
                  state->bundle().repaired.size(), state->index().name(),
-                 state->index().size(), state->shards(),
-                 state->shards() == 1 ? "" : "s",
+                 state->index().size(),
                  static_cast<unsigned long long>(state->epoch()));
   }
 
@@ -684,12 +674,6 @@ int CmdServe(const Flags& flags) {
       static_cast<double>(flags.GetInt("deadline-ms", 5000)) / 1e3;
   if (flags.Has("port")) {
     int port = static_cast<int>(flags.GetInt("port", 0));
-    if (flags.Has("blocking")) {
-      serve::Server server(engine->get(), server_options);
-      Status status = server.ServeTcp(port);
-      if (!status.ok()) return Fail(status.ToString());
-      return 0;
-    }
     serve::AsyncServerOptions async_options;
     async_options.server = server_options;
     async_options.workers = static_cast<size_t>(flags.GetInt("workers", 4));
